@@ -175,6 +175,9 @@ class ExecPlan
  * still topological for the settle sweep (a comb op's sources never
  * sort after it), and register commits are order-free because gated
  * execution writes next states to a pending buffer instead of in place.
+ * The build is linear in the op count (a stable counting sort by
+ * depth over the ops in id order), which matters because every design
+ * promoted from the cold tier rebuilds its plan and its segmentations.
  *
  * Per segment the build precomputes the **consumers**: the segments
  * reading its comb values (to wake in the same cycle when they

@@ -40,6 +40,14 @@ Netlist::append(CompKind kind, NodeId a, NodeId b)
     return id;
 }
 
+void
+Netlist::reserve(std::size_t nodes)
+{
+    kinds_.reserve(nodes);
+    srcA_.reserve(nodes);
+    srcB_.reserve(nodes);
+}
+
 NodeId
 Netlist::addConst0()
 {

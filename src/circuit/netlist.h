@@ -84,6 +84,9 @@ class Netlist
     /** Add a bit-serial subtractor computing a - b. */
     NodeId addSub(NodeId a, NodeId b);
 
+    /** Reserve storage for `nodes` components (a known-size replay). */
+    void reserve(std::size_t nodes);
+
     std::size_t numNodes() const { return kinds_.size(); }
     std::size_t numInputPorts() const { return numInputPorts_; }
 

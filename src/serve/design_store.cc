@@ -66,8 +66,11 @@ void
 DesignStore::demote(std::vector<Demotion> demotions)
 {
     // Serialization is file I/O over potentially tens of megabytes;
-    // it must not run under the store mutex.  Overwriting a file the
-    // key already has is harmless (same bytes, atomic rename).
+    // it must not run under the store mutex.  A design that went
+    // through the cold tier before (spilled, or promoted from a file
+    // that passed every check) is already on disk byte for byte, and
+    // the write-once tier returns without rewriting it; either way
+    // the eviction counts as a demotion.
     for (const auto &[key, design] : demotions)
         if (cold_->put(key, *design))
             demotions_.fetch_add(1, std::memory_order_relaxed);
@@ -194,6 +197,9 @@ DesignStore::get(const experiments::DesignKey &key,
                         analysis::verifyDesign(*design);
                     if (!report.ok()) {
                         design = nullptr;
+                        // The tier vouched for this file; drop it so
+                        // the next demotion writes a good one.
+                        cold_->erase(key);
                         coldFallbacks_.fetch_add(
                             1, std::memory_order_relaxed);
                         SPATIAL_WARN(

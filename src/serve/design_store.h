@@ -31,7 +31,8 @@
  * on its shared future (in-flight dedup).  Eviction is strict LRU
  * over completed entries; evicted designs stay alive for holders of
  * the returned shared_ptr.  Demotion serialization runs outside the
- * store mutex.
+ * store mutex, and a design the cold tier already holds unchanged is
+ * not written again (store::ColdTier is write-once per key).
  */
 
 #ifndef SPATIAL_SERVE_DESIGN_STORE_H
@@ -90,7 +91,11 @@ class DesignStore
         std::size_t evictions = 0; //!< hot entries dropped by the LRU
         std::size_t resident = 0;  //!< hot entries currently held
 
-        /** Evictions serialized into the cold tier. */
+        /**
+         * Evictions that left the design in the cold tier: written,
+         * or already there unchanged (store::ColdTierStats splits
+         * the two as writes vs. spillsSkipped).
+         */
         std::size_t demotions = 0;
 
         /** Misses served by loading a cold-tier file. */

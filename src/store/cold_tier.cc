@@ -52,10 +52,27 @@ ColdTier::pathFor(const experiments::DesignKey &key) const
     return (fs::path(dir_) / name).string();
 }
 
+void
+ColdTier::setPublished(const experiments::DesignKey &key, bool published)
+{
+    MutexLock lock(publishedMutex_);
+    if (published)
+        published_.insert(key);
+    else
+        published_.erase(key);
+}
+
 bool
 ColdTier::put(const experiments::DesignKey &key,
               const core::TiledDesign &design)
 {
+    {
+        MutexLock lock(publishedMutex_);
+        if (published_.count(key) != 0) {
+            spillsSkipped_.fetch_add(1, std::memory_order_relaxed);
+            return true;
+        }
+    }
     const std::string path = pathFor(key);
     // Injection site: the spill device is full / erroring (ENOSPC
     // model).  The design simply is not demoted; its next request
@@ -76,13 +93,17 @@ ColdTier::put(const experiments::DesignKey &key,
     const auto size = fs::file_size(path, ec);
     // Injection site: a torn write that survived a crash — the
     // published file is truncated, so the next load reports
-    // Truncated and the store falls back to a recompile.
+    // Truncated and the store falls back to a recompile.  The file no
+    // longer holds the design's bytes, so the key stays unpublished.
+    bool torn = false;
     if (fault::injectFault(fault::Site::ColdWriteShort) && !ec &&
         size > kHeaderBytes) {
         std::error_code resize_ec;
         fs::resize_file(path, size / 2, resize_ec);
+        torn = true;
         SPATIAL_WARN("cold tier: injected short write for ", path);
     }
+    setPublished(key, !torn);
     writes_.fetch_add(1, std::memory_order_relaxed);
     if (!ec)
         bytesWritten_.fetch_add(size, std::memory_order_relaxed);
@@ -94,36 +115,32 @@ ColdTier::get(const experiments::DesignKey &key,
               std::shared_ptr<const core::TiledDesign> *design)
 {
     experiments::DesignKey stored;
-    const LoadStatus status =
-        loadDesignFile(pathFor(key), design, &stored);
-    if (status == LoadStatus::NotFound)
-        return status;
-    if (status != LoadStatus::Ok) {
-        loadFailures_.fetch_add(1, std::memory_order_relaxed);
-        return status;
+    LoadStatus status = loadDesignFile(pathFor(key), design, &stored);
+    if (status == LoadStatus::Ok) {
+        // Identity first, then the injection sites, applied only to
+        // loads that really succeeded (a fault on a never-spilled key
+        // would just shadow NotFound): a read I/O error, and
+        // post-load corruption — artifacts damaged in a way the
+        // checksum did not catch.  All degrade to the caller's
+        // recompile fallback.
+        if (!(stored == key))
+            status = LoadStatus::Corrupt;
+        else if (fault::injectFault(fault::Site::ColdReadFail))
+            status = LoadStatus::Truncated;
+        else if (fault::injectFault(fault::Site::ColdReadCorrupt))
+            status = LoadStatus::Corrupt;
+        if (status != LoadStatus::Ok)
+            design->reset();
     }
-    if (!(stored == key)) {
+    // Ok vouches for the file; any other outcome means this tier can
+    // no longer vouch for whatever the path holds, so the next put()
+    // rewrites it.
+    setPublished(key, status == LoadStatus::Ok);
+    if (status == LoadStatus::Ok)
+        loads_.fetch_add(1, std::memory_order_relaxed);
+    else if (status != LoadStatus::NotFound)
         loadFailures_.fetch_add(1, std::memory_order_relaxed);
-        design->reset();
-        return LoadStatus::Corrupt;
-    }
-    // Injection sites, applied only to loads that really succeeded
-    // (a fault on a never-spilled key would just shadow NotFound):
-    // a read I/O error, and post-load corruption — artifacts damaged
-    // in a way the checksum did not catch.  Both degrade to the
-    // caller's recompile fallback.
-    if (fault::injectFault(fault::Site::ColdReadFail)) {
-        loadFailures_.fetch_add(1, std::memory_order_relaxed);
-        design->reset();
-        return LoadStatus::Truncated;
-    }
-    if (fault::injectFault(fault::Site::ColdReadCorrupt)) {
-        loadFailures_.fetch_add(1, std::memory_order_relaxed);
-        design->reset();
-        return LoadStatus::Corrupt;
-    }
-    loads_.fetch_add(1, std::memory_order_relaxed);
-    return LoadStatus::Ok;
+    return status;
 }
 
 bool
@@ -136,6 +153,7 @@ ColdTier::contains(const experiments::DesignKey &key) const
 void
 ColdTier::erase(const experiments::DesignKey &key)
 {
+    setPublished(key, false);
     std::error_code ec;
     fs::remove(pathFor(key), ec);
 }
@@ -145,6 +163,7 @@ ColdTier::stats() const
 {
     ColdTierStats stats;
     stats.writes = writes_.load(std::memory_order_relaxed);
+    stats.spillsSkipped = spillsSkipped_.load(std::memory_order_relaxed);
     stats.writeFailures =
         writeFailures_.load(std::memory_order_relaxed);
     stats.loads = loads_.load(std::memory_order_relaxed);

@@ -13,10 +13,19 @@
  * a stale file from an incompatible revision) degrades to a miss,
  * never to serving the wrong design.
  *
+ * Write-once: designs are immutable and content-keyed, so once this
+ * tier has written a key's file, or loaded it with every check
+ * passing, a later put() of that key has nothing new to write and
+ * returns at once — no serialization, no write, no fsync.  Any sign
+ * that the file may no longer hold those bytes (a failed or faulted
+ * load, erase(), an injected torn write) unpublishes the key, so the
+ * next put() rewrites it.
+ *
  * Thread-safe: writes go through an atomic temp-file + rename, reads
- * open whichever complete file is current, and the counters are
- * atomics.  Durability is best-effort by design — a lost or corrupt
- * file only costs a recompile (see docs/store.md).
+ * open whichever complete file is current, the published set has its
+ * own mutex, and the counters are atomics.  Durability is best-effort
+ * by design — a lost or corrupt file only costs a recompile (see
+ * docs/store.md).
  */
 
 #ifndef SPATIAL_STORE_COLD_TIER_H
@@ -26,7 +35,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_set>
 
+#include "common/sync.h"
 #include "store/format.h"
 
 namespace spatial::store
@@ -35,7 +46,9 @@ namespace spatial::store
 /** Counters of one cold tier's traffic (point-in-time snapshot). */
 struct ColdTierStats
 {
-    std::size_t writes = 0;        //!< designs spilled successfully
+    std::size_t writes = 0;        //!< design files written
+    /** put()s of a published key: the file already held its bytes. */
+    std::size_t spillsSkipped = 0;
     std::size_t writeFailures = 0; //!< spills that failed (I/O)
     std::size_t loads = 0;         //!< designs rematerialized
     std::size_t loadFailures = 0;  //!< load attempts that failed
@@ -65,8 +78,11 @@ class ColdTier
     std::string pathFor(const experiments::DesignKey &key) const;
 
     /**
-     * Spill a design; overwrites any previous file for the key.
-     * Returns false (counted, warned) on I/O failure.
+     * Spill a design; overwrites any previous file for the key unless
+     * the key is published (this tier wrote or verified its file and
+     * nothing has cast doubt on it since), in which case it returns
+     * true without touching the disk.  Returns false (counted,
+     * warned) on I/O failure.
      */
     bool put(const experiments::DesignKey &key,
              const core::TiledDesign &design);
@@ -76,6 +92,8 @@ class ColdTier
      * never spilled; any other non-Ok status means the file exists but
      * could not be used (and the caller should recompile).  A stored
      * identity that does not match `key` is reported as Corrupt.
+     * Every load runs the full checksum, identity and structural
+     * validation; Ok publishes the key, anything else unpublishes it.
      */
     LoadStatus get(const experiments::DesignKey &key,
                    std::shared_ptr<const core::TiledDesign> *design);
@@ -83,15 +101,24 @@ class ColdTier
     /** True when a file exists for the key (no validation). */
     bool contains(const experiments::DesignKey &key) const;
 
-    /** Remove the key's file, if any. */
+    /** Remove the key's file, if any, and unpublish the key. */
     void erase(const experiments::DesignKey &key);
 
     /** Current counters. */
     ColdTierStats stats() const;
 
   private:
+    /** Add `key` to the published set, or take it out. */
+    void setPublished(const experiments::DesignKey &key, bool published)
+        SPATIAL_EXCLUDES(publishedMutex_);
+
     std::string dir_;
+    Mutex publishedMutex_;
+    /** Keys whose current file this tier wrote or fully verified. */
+    std::unordered_set<experiments::DesignKey, experiments::DesignKeyHash>
+        published_ SPATIAL_GUARDED_BY(publishedMutex_);
     std::atomic<std::size_t> writes_{0};
+    std::atomic<std::size_t> spillsSkipped_{0};
     std::atomic<std::size_t> writeFailures_{0};
     std::atomic<std::size_t> loads_{0};
     std::atomic<std::size_t> loadFailures_{0};

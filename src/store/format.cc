@@ -3,10 +3,10 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "circuit/exec_plan.h"
@@ -231,7 +231,12 @@ readTile(Reader &r, const core::CompileOptions &options,
     if (r.failed || num_nodes == 0 || num_nodes > kMaxReasonable ||
         num_ports == 0 || num_ports > rows)
         return nullptr;
+    // Every node costs 9 payload bytes, so a declared count the
+    // payload cannot hold is refused before it sizes the reservation.
+    if (num_nodes > (r.size - r.pos) / 9)
+        return nullptr;
     circuit::Netlist netlist;
+    netlist.reserve(num_nodes);
     for (std::uint64_t i = 0; i < num_nodes; ++i) {
         const std::uint8_t kind_byte = r.u8();
         const std::uint32_t a = r.u32();
@@ -526,14 +531,32 @@ loadDesignFile(const std::string &path,
                std::shared_ptr<const core::TiledDesign> *design,
                experiments::DesignKey *key)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    // One sized read into a buffer allocated once, instead of growing
+    // it byte by byte through a stream iterator.
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return LoadStatus::NotFound;
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof())
+    struct stat st{};
+    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
+        ::close(fd);
         return LoadStatus::Truncated;
+    }
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size));
+    std::size_t got = 0;
+    while (got < bytes.size()) {
+        const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0) {
+            ::close(fd);
+            return LoadStatus::Truncated;
+        }
+        if (n == 0)
+            break; // shrank since the fstat: validation sees the short file
+        got += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    bytes.resize(got);
     return deserializeDesign(bytes.data(), bytes.size(), design, key);
 }
 

@@ -15,6 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/block_simulator.h"
@@ -24,6 +28,7 @@
 #include "common/rng.h"
 #include "core/batch_engine.h"
 #include "core/compiler.h"
+#include "core/tiled_design.h"
 #include "matrix/generate.h"
 
 namespace
@@ -420,6 +425,252 @@ TEST(Segmentation, PartitionsEveryOpExactlyOnce)
         // The cache hands back the same immutable instance.
         EXPECT_EQ(seg.get(), plan.segmentation(ops_per_segment).get());
     }
+}
+
+/**
+ * The schedule a Segmentation must produce, rebuilt independently: a
+ * comparison sort of every op by (register depth, dst), then the slot
+ * renumbering, chunking and consumer lists spelled out the plain way.
+ * The production build derives the same order with a counting sort by
+ * depth; this reference pins it byte for byte.
+ */
+struct ReferenceSchedule
+{
+    std::vector<circuit::Segmentation::Segment> segments;
+    std::vector<circuit::ExecPlan::CombOp> comb;
+    std::vector<circuit::ExecPlan::RegOp> regs;
+    std::vector<std::uint32_t> consumers;
+    std::vector<circuit::ExecPlan::InputOp> inputs;
+    std::vector<circuit::NodeId> constOnes;
+    std::vector<circuit::NodeId> slotOf;
+};
+
+ReferenceSchedule
+referenceSchedule(const circuit::ExecPlan &plan, std::size_t ops_per_segment)
+{
+    using circuit::NodeId;
+    const auto &plan_comb = plan.comb();
+    const auto &plan_regs = plan.regs();
+    const std::size_t n = plan.numNodes();
+
+    std::vector<std::uint32_t> depth(plan.numSlots(), 0);
+    std::vector<int> comb_at(n, -1);
+    std::vector<int> reg_at(n, -1);
+    for (std::size_t i = 0; i < plan_comb.size(); ++i)
+        comb_at[plan_comb[i].dst] = static_cast<int>(i);
+    for (std::size_t i = 0; i < plan_regs.size(); ++i)
+        reg_at[plan_regs[i].dst] = static_cast<int>(i);
+    for (std::size_t id = 0; id < n; ++id) {
+        if (comb_at[id] >= 0) {
+            const auto &op = plan_comb[comb_at[id]];
+            depth[id] = std::max(depth[op.a], depth[op.b]);
+        } else if (reg_at[id] >= 0) {
+            const auto &op = plan_regs[reg_at[id]];
+            depth[id] = std::max(depth[op.a], depth[op.b]) + 1;
+        }
+    }
+
+    std::vector<NodeId> order;
+    for (const auto &op : plan_comb)
+        order.push_back(op.dst);
+    for (const auto &op : plan_regs)
+        order.push_back(op.dst);
+    std::sort(order.begin(), order.end(), [&](NodeId x, NodeId y) {
+        return std::make_pair(depth[x], x) < std::make_pair(depth[y], y);
+    });
+
+    ReferenceSchedule ref;
+    ref.slotOf.assign(plan.numSlots(), 0);
+    NodeId next = 0;
+    for (std::size_t id = 0; id < n; ++id)
+        if (comb_at[id] < 0 && reg_at[id] < 0)
+            ref.slotOf[id] = next++;
+    for (const NodeId dst : order)
+        ref.slotOf[dst] = next++;
+    ref.slotOf[n] = static_cast<NodeId>(n);
+    ref.slotOf[n + 1] = static_cast<NodeId>(n + 1);
+    const auto &slot = ref.slotOf;
+
+    std::vector<std::size_t> owner(plan.numSlots(), SIZE_MAX);
+    std::vector<bool> reg_slot(plan.numSlots(), false);
+    for (std::size_t first = 0; first < order.size();
+         first += ops_per_segment) {
+        circuit::Segmentation::Segment seg{};
+        seg.combBegin = static_cast<std::uint32_t>(ref.comb.size());
+        seg.regBegin = static_cast<std::uint32_t>(ref.regs.size());
+        const std::size_t last =
+            std::min(order.size(), first + ops_per_segment);
+        for (std::size_t i = first; i < last; ++i) {
+            const NodeId dst = order[i];
+            owner[slot[dst]] = ref.segments.size();
+            if (reg_at[dst] >= 0) {
+                const auto &op = plan_regs[reg_at[dst]];
+                reg_slot[slot[dst]] = true;
+                ref.regs.push_back({slot[op.dst], slot[op.a], slot[op.b],
+                                    op.bInv, op.carryInit});
+            } else {
+                const auto &op = plan_comb[comb_at[dst]];
+                ref.comb.push_back(
+                    {slot[op.dst], slot[op.a], slot[op.b], op.inv});
+            }
+        }
+        seg.combEnd = static_cast<std::uint32_t>(ref.comb.size());
+        seg.regEnd = static_cast<std::uint32_t>(ref.regs.size());
+        ref.segments.push_back(seg);
+    }
+    for (const auto &in : plan.inputs())
+        ref.inputs.push_back({slot[in.node], in.port});
+    for (const auto node : plan.constOnes())
+        ref.constOnes.push_back(slot[node]);
+
+    // Readers of each segment's comb and register slots, other than
+    // the segment itself, sorted and deduplicated.
+    std::vector<std::vector<std::uint32_t>> comb_readers(
+        ref.segments.size());
+    std::vector<std::vector<std::uint32_t>> reg_readers(
+        ref.segments.size());
+    for (std::size_t s = 0; s < ref.segments.size(); ++s) {
+        const auto &seg = ref.segments[s];
+        std::vector<NodeId> sources;
+        for (std::uint32_t i = seg.combBegin; i < seg.combEnd; ++i) {
+            sources.push_back(ref.comb[i].a);
+            sources.push_back(ref.comb[i].b);
+        }
+        for (std::uint32_t i = seg.regBegin; i < seg.regEnd; ++i) {
+            sources.push_back(ref.regs[i].a);
+            sources.push_back(ref.regs[i].b);
+        }
+        for (const NodeId src : sources) {
+            if (owner[src] == SIZE_MAX || owner[src] == s)
+                continue;
+            (reg_slot[src] ? reg_readers : comb_readers)[owner[src]]
+                .push_back(static_cast<std::uint32_t>(s));
+        }
+    }
+    for (std::size_t s = 0; s < ref.segments.size(); ++s) {
+        auto &seg = ref.segments[s];
+        for (auto *readers : {&comb_readers[s], &reg_readers[s]}) {
+            std::sort(readers->begin(), readers->end());
+            readers->erase(std::unique(readers->begin(), readers->end()),
+                           readers->end());
+        }
+        seg.combConsumersBegin =
+            static_cast<std::uint32_t>(ref.consumers.size());
+        ref.consumers.insert(ref.consumers.end(), comb_readers[s].begin(),
+                             comb_readers[s].end());
+        seg.combConsumersEnd = seg.regConsumersBegin =
+            static_cast<std::uint32_t>(ref.consumers.size());
+        ref.consumers.insert(ref.consumers.end(), reg_readers[s].begin(),
+                             reg_readers[s].end());
+        seg.regConsumersEnd =
+            static_cast<std::uint32_t>(ref.consumers.size());
+    }
+    return ref;
+}
+
+void
+expectScheduleMatchesReference(const circuit::ExecPlan &plan,
+                               const std::string &label)
+{
+    for (const unsigned lane_words : {1u, 2u, 4u, 8u}) {
+        for (const unsigned segment_kib : {1u, 4u, 64u}) {
+            const std::size_t ops = circuit::Segmentation::opsForBudget(
+                segment_kib, lane_words);
+            SCOPED_TRACE(label + " W " + std::to_string(lane_words) +
+                         " segKib " + std::to_string(segment_kib));
+            const circuit::Segmentation seg(plan, ops);
+            const ReferenceSchedule ref = referenceSchedule(plan, ops);
+
+            ASSERT_EQ(seg.segments().size(), ref.segments.size());
+            for (std::size_t i = 0; i < ref.segments.size(); ++i) {
+                const auto &got = seg.segments()[i];
+                const auto &want = ref.segments[i];
+                ASSERT_EQ(got.combBegin, want.combBegin) << "segment " << i;
+                ASSERT_EQ(got.combEnd, want.combEnd) << "segment " << i;
+                ASSERT_EQ(got.regBegin, want.regBegin) << "segment " << i;
+                ASSERT_EQ(got.regEnd, want.regEnd) << "segment " << i;
+                ASSERT_EQ(got.combConsumersBegin, want.combConsumersBegin)
+                    << "segment " << i;
+                ASSERT_EQ(got.combConsumersEnd, want.combConsumersEnd)
+                    << "segment " << i;
+                ASSERT_EQ(got.regConsumersBegin, want.regConsumersBegin)
+                    << "segment " << i;
+                ASSERT_EQ(got.regConsumersEnd, want.regConsumersEnd)
+                    << "segment " << i;
+            }
+            ASSERT_EQ(seg.comb().size(), ref.comb.size());
+            for (std::size_t i = 0; i < ref.comb.size(); ++i) {
+                const auto &got = seg.comb()[i];
+                const auto &want = ref.comb[i];
+                ASSERT_EQ(got.dst, want.dst) << "comb op " << i;
+                ASSERT_EQ(got.a, want.a) << "comb op " << i;
+                ASSERT_EQ(got.b, want.b) << "comb op " << i;
+                ASSERT_EQ(got.inv, want.inv) << "comb op " << i;
+            }
+            ASSERT_EQ(seg.regs().size(), ref.regs.size());
+            for (std::size_t i = 0; i < ref.regs.size(); ++i) {
+                const auto &got = seg.regs()[i];
+                const auto &want = ref.regs[i];
+                ASSERT_EQ(got.dst, want.dst) << "reg op " << i;
+                ASSERT_EQ(got.a, want.a) << "reg op " << i;
+                ASSERT_EQ(got.b, want.b) << "reg op " << i;
+                ASSERT_EQ(got.bInv, want.bInv) << "reg op " << i;
+                ASSERT_EQ(got.carryInit, want.carryInit) << "reg op " << i;
+            }
+            ASSERT_EQ(seg.consumers(), ref.consumers);
+            ASSERT_EQ(seg.inputs().size(), ref.inputs.size());
+            for (std::size_t i = 0; i < ref.inputs.size(); ++i) {
+                ASSERT_EQ(seg.inputs()[i].node, ref.inputs[i].node);
+                ASSERT_EQ(seg.inputs()[i].port, ref.inputs[i].port);
+            }
+            ASSERT_EQ(seg.constOnes(), ref.constOnes);
+            ASSERT_EQ(seg.slotOf(), ref.slotOf);
+        }
+    }
+}
+
+TEST(Segmentation, ScheduleMatchesComparisonSortReference)
+{
+    // Every op kind, including comb ops at shared depths.
+    expectScheduleMatchesReference(
+        circuit::ExecPlan(makeKitchenSinkNetlist()), "kitchen sink");
+
+    Rng rng(95);
+    for (const auto mode : {core::SignMode::Unsigned,
+                            core::SignMode::PnSplit,
+                            core::SignMode::Csd}) {
+        for (const std::size_t dim : {16, 64, 256}) {
+            auto weights =
+                makeSignedElementSparseMatrix(dim, dim, 8, 0.9, rng);
+            if (mode == core::SignMode::Unsigned)
+                for (std::size_t r = 0; r < dim; ++r)
+                    for (std::size_t c = 0; c < dim; ++c)
+                        weights.at(r, c) = std::abs(weights.at(r, c));
+            CompileOptions options;
+            options.inputBits = 8;
+            options.inputsSigned = true;
+            options.signMode = mode;
+            // The ablation keeps the AND plane, so comb ops interleave
+            // with the registers at every depth.
+            options.constantPropagation = dim != 64;
+            const auto design = MatrixCompiler(options).compile(weights);
+            expectScheduleMatchesReference(
+                design.plan(), std::string(core::signModeName(mode)) +
+                                   " dim " + std::to_string(dim));
+        }
+    }
+
+    // A multi-tile design: every tile's plan schedules independently.
+    const auto weights = makeSignedElementSparseMatrix(96, 96, 8, 0.8, rng);
+    CompileOptions options;
+    options.signMode = core::SignMode::Csd;
+    core::TileOptions tiling;
+    tiling.maxTileCols = 40;
+    const auto tiled = core::TiledDesign::compile(weights, options, tiling);
+    ASSERT_GT(tiled.tileCount(), 1u);
+    for (std::size_t t = 0; t < tiled.tileCount(); ++t)
+        expectScheduleMatchesReference(tiled.tile(t).plan(),
+                                       "tile " + std::to_string(t));
 }
 
 TEST(Segmentation, OpsForBudgetScalesAndFloors)

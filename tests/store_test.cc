@@ -10,9 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/fault.h"
@@ -559,6 +564,236 @@ TEST(TieredStore, InjectedCompileFaultsRetryTransparently)
               1u);
     EXPECT_EQ(store.stats().faultsInjected,
               fault::FaultPlan::instance().injectedTotal());
+}
+
+// ---------------------------------------------------------------------
+// Write-once cold tier: an unchanged design is never rewritten, and
+// every sign the file may have changed forces the next spill to write
+// ---------------------------------------------------------------------
+
+/** Inode and modification time of a file: what a rewrite changes. */
+struct FileIdentity
+{
+    ino_t inode = 0;
+    std::int64_t mtimeNs = 0;
+
+    explicit FileIdentity(const std::string &path)
+    {
+        struct stat st{};
+        EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+        inode = st.st_ino;
+        mtimeNs = std::int64_t{st.st_mtim.tv_sec} * 1000000000 +
+                  st.st_mtim.tv_nsec;
+    }
+
+    bool operator==(const FileIdentity &) const = default;
+};
+
+TEST(WriteOnceColdTier, RedemotingAnUnchangedDesignTouchesNoFile)
+{
+    TempDir dir("writeonce-redemote");
+    serve::StoreOptions options;
+    options.capacity = 1;
+    options.spillDir = dir.path.string();
+    serve::DesignStore store(options);
+    const auto compile = testCompileOptions();
+    const auto a = testWeights(16, 471);
+    const auto b = testWeights(16, 472);
+    const std::string path = store::ColdTier(dir.path.string())
+                                 .pathFor(experiments::makeDesignKey(a, compile));
+
+    store.get(a, compile);
+    store.get(b, compile); // demotes a: written
+    const FileIdentity written(path);
+    // Make a rewrite visible even on a coarse-grained mtime clock.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    store.get(a, compile); // promotes a, demotes b: written
+    store.get(b, compile); // promotes b, demotes a: already on disk
+
+    const auto cold = store.coldStats();
+    EXPECT_EQ(cold.writes, 2u);
+    EXPECT_EQ(cold.syncs, 2u);
+    EXPECT_EQ(cold.spillsSkipped, 1u);
+    EXPECT_EQ(store.stats().demotions, 3u); // skipped spills still count
+    EXPECT_TRUE(FileIdentity(path) == written);
+}
+
+/**
+ * A key spilled once and then subjected to `invalidate`: the next
+ * put() must write a fresh file (and the one after it must not).
+ */
+template <typename Invalidate>
+void
+expectNextSpillRewrites(const std::string &tag, Invalidate invalidate)
+{
+    TempDir dir("writeonce-" + tag);
+    store::ColdTier tier(dir.path.string());
+    const auto weights = testWeights(16, 481);
+    const auto options = testCompileOptions();
+    const auto key = experiments::makeDesignKey(weights, options);
+    const auto design = core::TiledDesign::compile(weights, options);
+
+    ASSERT_TRUE(tier.put(key, design));
+    invalidate(tier, key, design);
+    const std::size_t writes = tier.stats().writes;
+    ASSERT_TRUE(tier.put(key, design));
+    EXPECT_EQ(tier.stats().writes, writes + 1) << tag;
+    ASSERT_TRUE(tier.put(key, design));
+    EXPECT_EQ(tier.stats().writes, writes + 1) << tag;
+
+    std::shared_ptr<const core::TiledDesign> loaded;
+    ASSERT_EQ(tier.get(key, &loaded), store::LoadStatus::Ok) << tag;
+    Rng rng(482);
+    const auto x = makeSignedVector(16, 8, rng);
+    EXPECT_EQ(loaded->multiply(x), referenceMultiply(weights, x));
+}
+
+using Key = experiments::DesignKey;
+using Design = core::TiledDesign;
+
+TEST(WriteOnceColdTier, ExternalDeleteForcesRewrite)
+{
+    expectNextSpillRewrites(
+        "delete", [](store::ColdTier &tier, const Key &key, const Design &) {
+            fs::remove(tier.pathFor(key));
+            std::shared_ptr<const core::TiledDesign> loaded;
+            EXPECT_EQ(tier.get(key, &loaded), store::LoadStatus::NotFound);
+        });
+}
+
+TEST(WriteOnceColdTier, ByteFlipForcesRewrite)
+{
+    expectNextSpillRewrites(
+        "flip", [](store::ColdTier &tier, const Key &key, const Design &) {
+            std::fstream file(tier.pathFor(key), std::ios::in |
+                                                     std::ios::out |
+                                                     std::ios::binary);
+            ASSERT_TRUE(file.is_open());
+            const auto at =
+                static_cast<std::streamoff>(store::kHeaderBytes + 5);
+            file.seekg(at);
+            char byte = 0;
+            file.read(&byte, 1);
+            byte = static_cast<char>(byte ^ 0x10);
+            file.seekp(at);
+            file.write(&byte, 1);
+            file.close();
+            std::shared_ptr<const core::TiledDesign> loaded;
+            EXPECT_EQ(tier.get(key, &loaded),
+                      store::LoadStatus::ChecksumMismatch);
+        });
+}
+
+TEST(WriteOnceColdTier, InjectedReadFaultsForceRewrite)
+{
+    for (const auto site :
+         {fault::Site::ColdReadFail, fault::Site::ColdReadCorrupt}) {
+        expectNextSpillRewrites(
+            fault::siteName(site),
+            [site](store::ColdTier &tier, const Key &key, const Design &) {
+                const FaultGuard faults({{site, fault::Rule{1.0, 1, 0}}});
+                std::shared_ptr<const core::TiledDesign> loaded;
+                EXPECT_NE(tier.get(key, &loaded), store::LoadStatus::Ok);
+            });
+    }
+}
+
+TEST(WriteOnceColdTier, InjectedShortWriteForcesRewrite)
+{
+    expectNextSpillRewrites(
+        "short", [](store::ColdTier &tier, const Key &key,
+                    const Design &design) {
+            // Unpublish first, so the torn write really happens.
+            tier.erase(key);
+            const FaultGuard faults(
+                {{fault::Site::ColdWriteShort, fault::Rule{1.0, 1, 0}}});
+            ASSERT_TRUE(tier.put(key, design));
+        });
+}
+
+TEST(WriteOnceColdTier, EraseForcesRewrite)
+{
+    expectNextSpillRewrites(
+        "erase", [](store::ColdTier &tier, const Key &key, const Design &) {
+            tier.erase(key);
+            EXPECT_FALSE(tier.contains(key));
+        });
+}
+
+TEST(WriteOnceColdTier, CapacityOneChurnWritesEachDesignOnce)
+{
+    TempDir dir("writeonce-churn");
+    serve::StoreOptions options;
+    options.capacity = 1;
+    options.spillDir = dir.path.string();
+    serve::DesignStore store(options);
+    const auto compile = testCompileOptions();
+    const IntMatrix weights[] = {testWeights(16, 491), testWeights(16, 492)};
+    Rng rng(493);
+    const std::size_t rounds = 8;
+    for (std::size_t round = 0; round < rounds; ++round) {
+        for (const auto &w : weights) {
+            const auto design = store.get(w, compile);
+            const auto x = makeSignedVector(16, 8, rng);
+            ASSERT_EQ(design->multiply(x), referenceMultiply(w, x))
+                << "round " << round;
+        }
+    }
+
+    const auto stats = store.stats();
+    const auto cold = store.coldStats();
+    EXPECT_EQ(cold.writes, 2u);
+    EXPECT_EQ(cold.loads, stats.promotions);
+    EXPECT_EQ(stats.promotions, 2 * rounds - 2);
+    EXPECT_EQ(stats.demotions, 2 * rounds - 1);
+    EXPECT_EQ(cold.spillsSkipped, stats.demotions - cold.writes);
+    EXPECT_EQ(stats.coldFallbacks, 0u);
+    std::size_t files = 0;
+    for (const auto &entry : fs::directory_iterator(dir.path))
+        files += entry.path().extension() == ".sptd" ? 1 : 0;
+    EXPECT_EQ(files, 2u);
+}
+
+TEST(WriteOnceColdTier, ConcurrentSpillsAndLoadsStayConsistent)
+{
+    // Threads racing put()/get() on shared keys: every put succeeds
+    // (written or skipped), every load after the first spill is Ok,
+    // and the published set never lets a key go unwritten.
+    TempDir dir("writeonce-threads");
+    store::ColdTier tier(dir.path.string());
+    const auto options = testCompileOptions();
+    const IntMatrix weights[] = {testWeights(16, 501), testWeights(16, 502)};
+    const core::TiledDesign designs[] = {
+        core::TiledDesign::compile(weights[0], options),
+        core::TiledDesign::compile(weights[1], options)};
+    const experiments::DesignKey keys[] = {
+        experiments::makeDesignKey(weights[0], options),
+        experiments::makeDesignKey(weights[1], options)};
+    for (std::size_t k = 0; k < 2; ++k)
+        ASSERT_TRUE(tier.put(keys[k], designs[k]));
+
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kRounds = 25;
+    std::atomic<std::size_t> bad{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t i = 0; i < kRounds; ++i) {
+                const std::size_t k = (t + i) % 2;
+                std::shared_ptr<const core::TiledDesign> loaded;
+                if (!tier.put(keys[k], designs[k]) ||
+                    tier.get(keys[k], &loaded) != store::LoadStatus::Ok)
+                    bad.fetch_add(1);
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    EXPECT_EQ(bad.load(), 0u);
+    const auto stats = tier.stats();
+    EXPECT_EQ(stats.writes, 2u);
+    EXPECT_EQ(stats.spillsSkipped, kThreads * kRounds);
+    EXPECT_EQ(stats.loads, kThreads * kRounds);
 }
 
 // ---------------------------------------------------------------------
