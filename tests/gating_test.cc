@@ -568,10 +568,25 @@ referenceSchedule(const circuit::ExecPlan &plan, std::size_t ops_per_segment)
     return ref;
 }
 
+/** Index of the first element where two arrays differ, or -1. */
+template <typename T, typename Same>
+long
+firstMismatch(const std::vector<T> &got, const std::vector<T> &want,
+              Same same)
+{
+    const std::size_t n = std::min(got.size(), want.size());
+    for (std::size_t i = 0; i < n; ++i)
+        if (!same(got[i], want[i]))
+            return static_cast<long>(i);
+    return got.size() == want.size() ? -1 : static_cast<long>(n);
+}
+
 void
 expectScheduleMatchesReference(const circuit::ExecPlan &plan,
                                const std::string &label)
 {
+    using circuit::ExecPlan;
+    using Segment = circuit::Segmentation::Segment;
     for (const unsigned lane_words : {1u, 2u, 4u, 8u}) {
         for (const unsigned segment_kib : {1u, 4u, 64u}) {
             const std::size_t ops = circuit::Segmentation::opsForBudget(
@@ -581,50 +596,52 @@ expectScheduleMatchesReference(const circuit::ExecPlan &plan,
             const circuit::Segmentation seg(plan, ops);
             const ReferenceSchedule ref = referenceSchedule(plan, ops);
 
-            ASSERT_EQ(seg.segments().size(), ref.segments.size());
-            for (std::size_t i = 0; i < ref.segments.size(); ++i) {
-                const auto &got = seg.segments()[i];
-                const auto &want = ref.segments[i];
-                ASSERT_EQ(got.combBegin, want.combBegin) << "segment " << i;
-                ASSERT_EQ(got.combEnd, want.combEnd) << "segment " << i;
-                ASSERT_EQ(got.regBegin, want.regBegin) << "segment " << i;
-                ASSERT_EQ(got.regEnd, want.regEnd) << "segment " << i;
-                ASSERT_EQ(got.combConsumersBegin, want.combConsumersBegin)
-                    << "segment " << i;
-                ASSERT_EQ(got.combConsumersEnd, want.combConsumersEnd)
-                    << "segment " << i;
-                ASSERT_EQ(got.regConsumersBegin, want.regConsumersBegin)
-                    << "segment " << i;
-                ASSERT_EQ(got.regConsumersEnd, want.regConsumersEnd)
-                    << "segment " << i;
-            }
-            ASSERT_EQ(seg.comb().size(), ref.comb.size());
-            for (std::size_t i = 0; i < ref.comb.size(); ++i) {
-                const auto &got = seg.comb()[i];
-                const auto &want = ref.comb[i];
-                ASSERT_EQ(got.dst, want.dst) << "comb op " << i;
-                ASSERT_EQ(got.a, want.a) << "comb op " << i;
-                ASSERT_EQ(got.b, want.b) << "comb op " << i;
-                ASSERT_EQ(got.inv, want.inv) << "comb op " << i;
-            }
-            ASSERT_EQ(seg.regs().size(), ref.regs.size());
-            for (std::size_t i = 0; i < ref.regs.size(); ++i) {
-                const auto &got = seg.regs()[i];
-                const auto &want = ref.regs[i];
-                ASSERT_EQ(got.dst, want.dst) << "reg op " << i;
-                ASSERT_EQ(got.a, want.a) << "reg op " << i;
-                ASSERT_EQ(got.b, want.b) << "reg op " << i;
-                ASSERT_EQ(got.bInv, want.bInv) << "reg op " << i;
-                ASSERT_EQ(got.carryInit, want.carryInit) << "reg op " << i;
-            }
-            ASSERT_EQ(seg.consumers(), ref.consumers);
-            ASSERT_EQ(seg.inputs().size(), ref.inputs.size());
-            for (std::size_t i = 0; i < ref.inputs.size(); ++i) {
-                ASSERT_EQ(seg.inputs()[i].node, ref.inputs[i].node);
-                ASSERT_EQ(seg.inputs()[i].port, ref.inputs[i].port);
-            }
-            ASSERT_EQ(seg.constOnes(), ref.constOnes);
-            ASSERT_EQ(seg.slotOf(), ref.slotOf);
+            EXPECT_EQ(firstMismatch(seg.segments(), ref.segments,
+                                    [](const Segment &x, const Segment &y) {
+                                        return x.combBegin == y.combBegin &&
+                                               x.combEnd == y.combEnd &&
+                                               x.regBegin == y.regBegin &&
+                                               x.regEnd == y.regEnd &&
+                                               x.combConsumersBegin ==
+                                                   y.combConsumersBegin &&
+                                               x.combConsumersEnd ==
+                                                   y.combConsumersEnd &&
+                                               x.regConsumersBegin ==
+                                                   y.regConsumersBegin &&
+                                               x.regConsumersEnd ==
+                                                   y.regConsumersEnd;
+                                    }),
+                      -1)
+                << "segments";
+            EXPECT_EQ(firstMismatch(seg.comb(), ref.comb,
+                                    [](const ExecPlan::CombOp &x,
+                                       const ExecPlan::CombOp &y) {
+                                        return x.dst == y.dst && x.a == y.a &&
+                                               x.b == y.b && x.inv == y.inv;
+                                    }),
+                      -1)
+                << "comb ops";
+            EXPECT_EQ(firstMismatch(seg.regs(), ref.regs,
+                                    [](const ExecPlan::RegOp &x,
+                                       const ExecPlan::RegOp &y) {
+                                        return x.dst == y.dst && x.a == y.a &&
+                                               x.b == y.b &&
+                                               x.bInv == y.bInv &&
+                                               x.carryInit == y.carryInit;
+                                    }),
+                      -1)
+                << "reg ops";
+            EXPECT_EQ(firstMismatch(seg.inputs(), ref.inputs,
+                                    [](const ExecPlan::InputOp &x,
+                                       const ExecPlan::InputOp &y) {
+                                        return x.node == y.node &&
+                                               x.port == y.port;
+                                    }),
+                      -1)
+                << "inputs";
+            EXPECT_TRUE(seg.consumers() == ref.consumers) << "consumers";
+            EXPECT_TRUE(seg.constOnes() == ref.constOnes) << "constOnes";
+            EXPECT_TRUE(seg.slotOf() == ref.slotOf) << "slotOf";
         }
     }
 }
