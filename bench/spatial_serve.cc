@@ -130,9 +130,9 @@ runListen(const spatial::Args &args,
                 stats.accepted, stats.registered, stats.badFrames);
     for (std::size_t s = 0; s < stats.shards.size(); ++s) {
         const ShardStats &shard = stats.shards[s];
-        std::printf("  shard %zu: %zu submitted, %zu shed, occupancy "
-                    "%.2f, %zu groups\n",
-                    s, shard.submitted, shard.shed,
+        std::printf("  shard %zu: %zu submitted, %zu answered, %zu "
+                    "shed, occupancy %.2f, %zu groups\n",
+                    s, shard.submitted, shard.answered, shard.shed,
                     shard.server.occupancy(), shard.server.groups);
     }
     return 0;
@@ -311,7 +311,8 @@ main(int argc, char **argv)
                         static_cast<std::size_t>(
                             result.stats.slowWorkerFlags),
                         result.faultsInjected);
-        if (!options.serve.storeSpillDir.empty())
+        if (!options.serve.storeSpillDir.empty()) {
+            const store::ColdTierStats &cold = result.stats.store.cold;
             std::printf("tiering: %zu demotions, %zu promotions, %zu "
                         "cold fallbacks; compile %.2fs vs load %.2fs\n",
                         result.stats.store.demotions,
@@ -319,6 +320,12 @@ main(int argc, char **argv)
                         result.stats.store.coldFallbacks,
                         result.stats.store.compileSeconds,
                         result.stats.store.loadSeconds);
+            std::printf("cold tier: %zu writes (%zu fsync'd), %zu spills "
+                        "skipped, %zu write failures, %zu load "
+                        "failures\n",
+                        cold.writes, cold.syncs, cold.spillsSkipped,
+                        cold.writeFailures, cold.loadFailures);
+        }
         if (options.serve.sim.jit)
             std::printf(
                 "jit: %zu designs admitted (%zu failed) in %.2fs; "

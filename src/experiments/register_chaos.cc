@@ -17,8 +17,8 @@
  * Scenarios (see docs/robustness.md for the site catalog):
  *
  * - `slow_worker`       worker stalls + queue-age watchdog shedding
- * - `eviction_storm`    capacity-1 store churn with compile faults
- *                       and spill-write failures
+ * - `eviction_storm`    capacity-1 store churn with compile faults,
+ *                       failed cold loads, and spill-write failures
  * - `cold_corruption`   damaged cold-tier artifacts force recompile
  *                       fallbacks mid-traffic
  * - `disconnect_flood`  dropped connections, partial writes, and
@@ -35,6 +35,7 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -122,6 +123,10 @@ makeScenario(const std::string &name, std::uint64_t seed)
         // Three designs through a capacity-1 store: every request is
         // a potential evict/demote/promote, with transient compile
         // failures, latency spikes, and spill-write errors layered on.
+        // Spills are write-once per key, so the write-failure site
+        // only fires on a real write: failed cold loads unpublish
+        // their key (and recompile), which makes the next demotion of
+        // that design write its file again.
         s.designs = 3;
         s.storeCapacity = 1;
         s.spill = true;
@@ -129,6 +134,7 @@ makeScenario(const std::string &name, std::uint64_t seed)
         s.maxQueueAge = std::chrono::milliseconds(120);
         s.rules = {{Site::StoreCompileFail, Rule{0.2, seed ^ 2, 0}},
                    {Site::StoreCompileDelay, Rule{0.3, seed ^ 3, 10}},
+                   {Site::ColdReadFail, Rule{0.25, seed ^ 11, 0}},
                    {Site::ColdWriteFail, Rule{0.25, seed ^ 4, 0}}};
     } else if (name == "cold_corruption") {
         // Same churn, but the cold tier itself lies: short writes and
@@ -347,6 +353,11 @@ makeChaos()
         // Disarm before the bookkeeping round trips so fetchStats and
         // the shutdown drain run on a clean wire.
         const std::uint64_t faults = plan.injectedTotal();
+        std::string by_site;
+        for (const auto &[site, rule] : scenario.rules)
+            by_site += std::string(by_site.empty() ? "" : ", ") +
+                       fault::siteName(site) + " " +
+                       std::to_string(plan.injected(site));
         plan.clear();
 
         std::size_t watchdog_shed = 0;
@@ -379,7 +390,8 @@ makeChaos()
             static_cast<double>(kRequests);
         SPATIAL_INFORM("chaos(", name, "): ", ok, "/", kRequests,
                        " ok in ", seconds, "s, ", given_up,
-                       " given up, ", faults, " faults injected");
+                       " given up, ", faults, " faults injected (",
+                       by_site, ")");
 
         return std::vector<Row>{
             {cell(name),

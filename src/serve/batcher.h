@@ -21,7 +21,6 @@
 #define SPATIAL_SERVE_BATCHER_H
 
 #include <chrono>
-#include <future>
 #include <optional>
 #include <vector>
 
@@ -44,7 +43,7 @@ struct BatchPolicy
 struct PendingRequest
 {
     Request request;                        //!< the client's work
-    std::promise<Response> promise;         //!< fulfilled at scatter
+    Completion done;                        //!< called at scatter
     std::chrono::time_point<Clock> submitAt{}; //!< enqueue timestamp
 };
 

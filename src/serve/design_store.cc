@@ -306,17 +306,13 @@ DesignStore::stats() const
         1e6;
     stats.faultsInjected =
         faultsInjected_.load(std::memory_order_relaxed);
+    if (cold_ != nullptr)
+        stats.cold = cold_->stats();
     {
         MutexLock lock(mutex_);
         stats.resident = entries_.size();
     }
     return stats;
-}
-
-store::ColdTierStats
-DesignStore::coldStats() const
-{
-    return cold_ != nullptr ? cold_->stats() : store::ColdTierStats{};
 }
 
 } // namespace spatial::serve

@@ -93,8 +93,8 @@ class DesignStore
 
         /**
          * Evictions that left the design in the cold tier: written,
-         * or already there unchanged (store::ColdTierStats splits
-         * the two as writes vs. spillsSkipped).
+         * or already there unchanged (`cold` splits the two as
+         * writes vs. spillsSkipped).
          */
         std::size_t demotions = 0;
 
@@ -135,6 +135,9 @@ class DesignStore
          * always 0 outside chaos runs.  See common/fault.h.
          */
         std::uint64_t faultsInjected = 0;
+
+        /** Cold-tier traffic; zeros when tiering is disabled. */
+        store::ColdTierStats cold;
     };
 
     /** Hot-only store holding at most `capacity` designs (min 1). */
@@ -179,9 +182,6 @@ class DesignStore
 
     /** Current accounting (counters are lock-free reads). */
     Stats stats() const;
-
-    /** Cold-tier traffic counters; zeros when tiering is disabled. */
-    store::ColdTierStats coldStats() const;
 
     /** The configured capacity. */
     std::size_t capacity() const { return options_.capacity; }

@@ -757,6 +757,16 @@ LoadGenResult::toJson(const LoadGenOptions &options) const
         << jsonReal(stats.store.compileSeconds) << ",\n";
     out << "  \"store_load_seconds\": "
         << jsonReal(stats.store.loadSeconds) << ",\n";
+    // The cold tier's own traffic (in-process runs only: not on the
+    // wire, so remote runs report zeros).
+    out << "  \"cold_writes\": " << stats.store.cold.writes << ",\n";
+    out << "  \"cold_spills_skipped\": " << stats.store.cold.spillsSkipped
+        << ",\n";
+    out << "  \"cold_syncs\": " << stats.store.cold.syncs << ",\n";
+    out << "  \"cold_write_failures\": " << stats.store.cold.writeFailures
+        << ",\n";
+    out << "  \"cold_load_failures\": " << stats.store.cold.loadFailures
+        << ",\n";
     out << "  \"jit_admitted\": " << stats.store.jitAdmitted << ",\n";
     out << "  \"jit_failed\": " << stats.store.jitFailed << ",\n";
     out << "  \"jit_admit_seconds\": "

@@ -103,8 +103,8 @@ NetServer::NetServer(NetServerOptions options) : options_(options)
     setNonBlocking(wakePipe_[1]);
 
     for (std::size_t s = 0; s < shards_.size(); ++s)
-        shards_[s]->reaper =
-            std::thread([this, s] { reaperLoop(s); });
+        shards_[s]->replier =
+            std::thread([this, s] { replyLoop(s); });
     registrar_ = std::thread([this] { registrarLoop(); });
     loop_ = std::thread([this] { eventLoop(); });
 }
@@ -117,6 +117,8 @@ NetServer::~NetServer()
 void
 NetServer::wake()
 {
+    if (wakeArmed_.exchange(true))
+        return; // a byte is already on its way to the loop
     const char byte = 'w';
     [[maybe_unused]] ssize_t n = ::write(wakePipe_[1], &byte, 1);
 }
@@ -173,11 +175,11 @@ NetServer::shutdown()
     registrar_.join();
 
     // 3. Shards: flush open batch groups, wait for every admitted
-    //    request to be answered, then stop the reapers.  With a
+    //    request to be answered, then stop the reply threads.  With a
     //    drain deadline configured the wait is bounded: once it
-    //    expires, the reapers abandon the remaining futures and
-    //    answer them ShuttingDown, so a wedged or fault-stalled
-    //    worker cannot pin the shutdown forever.
+    //    expires, the still-outstanding requests are answered
+    //    ShuttingDown, so a wedged or fault-stalled worker cannot pin
+    //    the shutdown forever.
     const bool bounded = options_.drainTimeout.count() > 0;
     const auto deadline =
         std::chrono::steady_clock::now() + options_.drainTimeout;
@@ -194,36 +196,32 @@ NetServer::shutdown()
             shard->server->drain();
         }
         MutexLock lock(shard->mutex);
-        while (!shard->completions.empty() ||
-               shard->inFlight.load() != 0) {
-            if (!bounded) {
-                shard->cv.wait(shard->mutex);
+        bool abandoned = false;
+        while (shard->inFlight.load() != 0) {
+            if (!bounded || abandoned) {
+                shard->idleCv.wait(shard->mutex);
                 continue;
             }
-            if (shard->abandon.load(std::memory_order_acquire)) {
-                // Deadline already declared; the reaper is flushing
-                // ShuttingDown answers — keep waiting for inFlight
-                // to reach zero (bounded by the reaper's 50ms wait
-                // slices, not by the stalled work itself).
-                shard->cv.wait(shard->mutex);
-                continue;
-            }
-            if (shard->cv.wait_until(shard->mutex, deadline) ==
+            if (shard->idleCv.wait_until(shard->mutex, deadline) ==
                     std::cv_status::timeout &&
-                (!shard->completions.empty() ||
-                 shard->inFlight.load() != 0)) {
+                shard->inFlight.load() != 0) {
                 SPATIAL_WARN("drain deadline expired; answering ",
-                             shard->inFlight.load(),
+                             shard->outstanding.size(),
                              " in-flight request(s) ShuttingDown");
-                shard->abandon.store(true, std::memory_order_release);
-                shard->cv.notify_all();
+                for (const auto &[seq, to] : shard->outstanding)
+                    shard->ready.push_back(
+                        ReadyReply{to, wire::Status::ShuttingDown, {}});
+                shard->outstanding.clear();
+                shard->replierWaiting = false;
+                shard->cv.notify_one();
+                abandoned = true;
             }
         }
         shard->stop = true;
         shard->cv.notify_all();
     }
     for (auto &shard : shards_)
-        shard->reaper.join();
+        shard->replier.join();
 
     // 4. Event loop: flush outbound buffers, close connections, exit.
     loopExit_.store(true, std::memory_order_release);
@@ -262,6 +260,7 @@ NetServer::stats() const
     for (const auto &shard : shards_) {
         ShardStats s;
         s.submitted = shard->submitted.load();
+        s.answered = shard->answered.load();
         s.shed = shard->shed.load();
         s.inFlight = shard->inFlight.load();
         s.server = shard->server->stats();
@@ -309,13 +308,8 @@ NetServer::statsMatrix() const
 }
 
 void
-NetServer::replyFrame(std::uint64_t conn, const wire::ResponseFrame &f)
+NetServer::appendReplyLocked(Connection &c, const wire::ResponseFrame &f)
 {
-    MutexLock lock(connMutex_);
-    const auto it = conns_.find(conn);
-    if (it == conns_.end())
-        return; // peer went away; drop the response
-    Connection &c = it->second;
     if (c.closing)
         return; // already being torn down; drop the response
     if (c.out.size() - c.outSent > kMaxConnBuf) {
@@ -326,11 +320,46 @@ NetServer::replyFrame(std::uint64_t conn, const wire::ResponseFrame &f)
         c.closing = true;
         c.out.clear();
         c.outSent = 0;
-        wake();
         return;
     }
     wire::appendResponseFrame(c.out, f);
+}
+
+void
+NetServer::replyFrame(std::uint64_t conn, const wire::ResponseFrame &f)
+{
+    {
+        MutexLock lock(connMutex_);
+        const auto it = conns_.find(conn);
+        if (it == conns_.end())
+            return; // peer went away; drop the response
+        appendReplyLocked(it->second, f);
+    }
     wake();
+}
+
+void
+NetServer::sendReplies(std::vector<ReadyReply> &batch)
+{
+    wire::ResponseFrame f;
+    {
+        MutexLock lock(connMutex_);
+        for (ReadyReply &reply : batch) {
+            const auto it = conns_.find(reply.to.conn);
+            if (it == conns_.end())
+                continue; // peer went away; drop the response
+            Connection &c = it->second;
+            f.status = reply.status;
+            f.kind = reply.to.kind;
+            f.requestId = reply.to.requestId;
+            f.designId = reply.to.designId;
+            f.output = std::move(reply.output);
+            appendReplyLocked(c, f);
+            if (c.pendingReplies > 0)
+                --c.pendingReplies;
+        }
+    }
+    wake(); // new bytes to write; a half-closed peer may be closable
 }
 
 void
@@ -524,69 +553,70 @@ NetServer::dispatch(std::uint64_t conn, wire::RequestFrame frame)
     shard.submitted.fetch_add(1, std::memory_order_relaxed);
     asyncBegin(conn);
 
-    PendingReply reply;
-    reply.conn = conn;
-    reply.requestId = frame.requestId;
-    reply.designId = frame.designId;
-    reply.kind = frame.kind;
-    reply.future =
-        shard.server->submit(route.localId, std::move(frame.request));
+    std::uint64_t seq;
     {
         MutexLock lock(shard.mutex);
-        shard.completions.push_back(std::move(reply));
+        seq = shard.nextSeq++;
+        shard.outstanding.emplace(
+            seq, ReplyTo{conn, frame.requestId, frame.designId,
+                         frame.kind});
     }
-    shard.cv.notify_all();
+    shard.server->submit(route.localId, std::move(frame.request),
+                         [&shard, seq](Response response) {
+                             shard.complete(seq, std::move(response));
+                         });
 }
 
 void
-NetServer::reaperLoop(std::size_t shard_index)
+NetServer::Shard::complete(std::uint64_t seq, Response response)
+{
+    bool notify;
+    {
+        MutexLock lock(mutex);
+        auto entry = outstanding.extract(seq);
+        if (entry.empty())
+            return; // answered ShuttingDown at the drain deadline
+        // Watchdog sheds travel in-process as Response::shed; on the
+        // wire they are ordinary Busy answers the client may retry.
+        ready.push_back(ReadyReply{
+            entry.mapped(),
+            response.shed ? wire::Status::Busy : wire::Status::Ok,
+            std::move(response.output)});
+        notify = replierWaiting;
+        replierWaiting = false;
+    }
+    if (notify)
+        cv.notify_one();
+}
+
+void
+NetServer::replyLoop(std::size_t shard_index)
 {
     Shard &shard = *shards_[shard_index];
+    std::vector<ReadyReply> batch;
     for (;;) {
-        PendingReply reply;
         {
             MutexLock lock(shard.mutex);
-            while (shard.completions.empty() && !shard.stop)
+            while (shard.ready.empty() && !shard.stop) {
+                shard.replierWaiting = true;
                 shard.cv.wait(shard.mutex);
-            if (shard.completions.empty() && shard.stop)
-                return;
-            reply = std::move(shard.completions.front());
-            shard.completions.pop_front();
-        }
-        // Wait outside the lock: groups complete in batches, so FIFO
-        // blocking here costs nothing — every future behind this one
-        // is already being worked on by the shard's pool.  The wait
-        // is sliced so an expired drain deadline (abandon) can cut
-        // in: the peer then gets ShuttingDown now instead of a reply
-        // that would arrive only if a wedged worker recovers.
-        wire::ResponseFrame f;
-        f.kind = reply.kind;
-        f.requestId = reply.requestId;
-        f.designId = reply.designId;
-        bool abandoned =
-            shard.abandon.load(std::memory_order_acquire);
-        while (!abandoned &&
-               reply.future.wait_for(std::chrono::milliseconds(50)) !=
-                   std::future_status::ready)
-            abandoned = shard.abandon.load(std::memory_order_acquire);
-        if (abandoned) {
-            f.status = wire::Status::ShuttingDown;
-        } else {
-            Response response = reply.future.get();
-            if (response.shed) {
-                // Watchdog sheds travel in-process as Response::shed;
-                // on the wire they are ordinary Busy answers the
-                // client is free to retry.
-                f.status = wire::Status::Busy;
-            } else {
-                f.status = wire::Status::Ok;
-                f.output = std::move(response.output);
             }
+            if (shard.ready.empty())
+                return; // stopped with nothing left to send
+            // Take every ready reply at once; the swap hands the
+            // drained vector's capacity back to the queue.
+            batch.swap(shard.ready);
         }
-        replyFrame(reply.conn, f);
-        asyncDone(reply.conn);
-        shard.inFlight.fetch_sub(1, std::memory_order_relaxed);
-        shard.cv.notify_all(); // shutdown() waits on inFlight == 0
+        sendReplies(batch);
+        const std::size_t n = batch.size();
+        batch.clear();
+        shard.answered.fetch_add(n, std::memory_order_relaxed);
+        if (shard.inFlight.fetch_sub(n, std::memory_order_acq_rel) == n) {
+            // Lock-then-notify so a shutdown() that just checked
+            // inFlight cannot miss the wakeup.
+            { MutexLock lock(shard.mutex); }
+            shard.idleCv.notify_all();
+        }
     }
 }
 
@@ -800,6 +830,13 @@ NetServer::eventLoop()
                 char buf[64];
                 while (::read(wakePipe_[0], buf, sizeof(buf)) > 0) {
                 }
+                // Disarm only after the drain: a wake() in between
+                // skipped its write, but what it announced is already
+                // visible to the next pass's poll-set rebuild.
+                // Disarming before the drain could swallow the byte
+                // of a wake() that armed in between, and later wakes
+                // would then never write.
+                wakeArmed_.store(false);
                 if (shutdownRequested_.load(
                         std::memory_order_acquire) &&
                     !rejecting_.load()) {

@@ -19,9 +19,15 @@
  *    DesignStore, Batcher set, deadline timer, and worker pool.
  *    Designs are routed to shard `globalId % shards` at registration,
  *    so one hot design's queue cannot starve another shard's pool.
- *  - **per-shard reaper** (one thread each): waits on submitted
- *    futures in FIFO order, encodes responses, and hands them back to
- *    the event loop through the connection write buffers.
+ *  - **per-shard reply thread** (one each): replies leave in
+ *    completion order, not submission order.  Every admitted request
+ *    is recorded in the shard's outstanding table and submitted with
+ *    a completion that only moves its Response into the shard's ready
+ *    queue; a reply therefore never waits behind an earlier request
+ *    of another design whose batch is still open.  The reply thread
+ *    drains the whole ready queue per wake-up, encodes the batch into
+ *    the connection write buffers under one lock, and wakes the event
+ *    loop once.  Encoding stays off the engine workers.
  *  - **registrar** (one thread): runs RegisterDesign compiles off the
  *    event loop, so admission of a new design never stalls traffic.
  *    Every compile precondition is re-checked non-fatally first
@@ -36,7 +42,10 @@
  * latency collapse.  Graceful drain: shutdown() (or requestShutdown()
  * from a signal handler) stops accepting, answers new work with
  * ShuttingDown, completes everything already admitted, flushes the
- * write buffers, and joins every thread.
+ * write buffers, and joins every thread.  Every admitted request is
+ * answered exactly once: past the drain deadline the outstanding
+ * table is answered ShuttingDown and emptied, so a late completion
+ * finds its entry gone and drops its Response.
  */
 
 #ifndef SPATIAL_SERVE_NET_SERVER_H
@@ -46,7 +55,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -113,6 +121,9 @@ struct NetServerOptions
 struct ShardStats
 {
     std::size_t submitted = 0; //!< wire requests admitted
+    /** Admitted requests answered (Ok, watchdog Busy, or
+     * ShuttingDown); equals `submitted` once inFlight is 0. */
+    std::size_t answered = 0;
     std::size_t shed = 0;      //!< wire requests answered Busy
     std::size_t inFlight = 0;  //!< admitted but not yet answered
     ServerStats server;        //!< the shard Server's own counters
@@ -139,7 +150,7 @@ struct NetServerStats
 class NetServer
 {
   public:
-    /** Bind + listen + start the loop, shards, reapers, registrar. */
+    /** Bind + listen + start the loop, shards, repliers, registrar. */
     explicit NetServer(NetServerOptions options = {});
 
     /** Graceful shutdown (idempotent), then join everything. */
@@ -191,31 +202,53 @@ class NetServer
         bool failed = false;     //!< registrar rejected the compile
     };
 
-    /** A submitted request awaiting its future, FIFO per shard. */
-    struct PendingReply
+    /** Where an admitted request's reply goes. */
+    struct ReplyTo
     {
         std::uint64_t conn = 0;
         std::uint64_t requestId = 0;
         std::uint32_t designId = 0;
         wire::MessageKind kind = wire::MessageKind::Ping;
-        std::future<Response> future;
     };
 
-    /** One shard: a Server plus its completion plumbing. */
+    /** An answered request waiting for its shard's reply thread. */
+    struct ReadyReply
+    {
+        ReplyTo to;
+        wire::Status status = wire::Status::Ok;
+        IntMatrix output; //!< empty unless status is Ok
+    };
+
+    /** One shard: a Server plus its reply plumbing. */
     struct Shard
     {
-        std::unique_ptr<Server> server;
         Mutex mutex;
-        CondVar cv;
-        std::deque<PendingReply> completions SPATIAL_GUARDED_BY(mutex);
+        CondVar cv;     //!< reply thread: `ready` filled or stop
+        CondVar idleCv; //!< shutdown(): inFlight reached zero
+        /** Admitted, unanswered requests by shard-local sequence
+         * number; an entry leaves when its Response is queued or the
+         * drain deadline answers it ShuttingDown. */
+        std::unordered_map<std::uint64_t, ReplyTo> outstanding
+            SPATIAL_GUARDED_BY(mutex);
+        std::uint64_t nextSeq SPATIAL_GUARDED_BY(mutex) = 0;
+        std::vector<ReadyReply> ready SPATIAL_GUARDED_BY(mutex);
+        /** The reply thread is blocked on `cv`; cleared by whoever
+         * notifies it, so a burst of completions notifies once. */
+        bool replierWaiting SPATIAL_GUARDED_BY(mutex) = false;
         bool stop SPATIAL_GUARDED_BY(mutex) = false;
-        /** Drain deadline expired: the reaper stops waiting on
-         * futures and answers everything left ShuttingDown. */
-        std::atomic<bool> abandon{false};
         std::atomic<std::size_t> inFlight{0};
         std::atomic<std::size_t> submitted{0};
+        std::atomic<std::size_t> answered{0};
         std::atomic<std::size_t> shed{0};
-        std::thread reaper;
+        std::thread replier;
+        /** Declared last, so destroyed first: its destructor drains
+         * and calls completions, which lock `mutex`. */
+        std::unique_ptr<Server> server;
+
+        /** The Completion of request `seq`: queue its reply, unless
+         * the drain deadline already answered it. */
+        void complete(std::uint64_t seq, Response response)
+            SPATIAL_EXCLUDES(mutex);
     };
 
     /** A RegisterDesign job for the registrar thread. */
@@ -232,7 +265,7 @@ class NetServer
      * Per-connection buffers; owned by the connection table.  `fd` and
      * `in` are touched by the event loop alone; `out`, `outSent`,
      * `closing`, `peerEof`, and `pendingReplies` are shared with the
-     * reaper/registrar reply paths and guarded by connMutex_.
+     * reply-thread/registrar reply paths and guarded by connMutex_.
      */
     struct Connection
     {
@@ -249,12 +282,12 @@ class NetServer
          * contract. */
         bool peerEof = false;
         /** Admitted requests whose replies are still owed (shard
-         * futures in flight plus queued RegisterDesign compiles). */
+         * requests in flight plus queued RegisterDesign compiles). */
         std::size_t pendingReplies = 0;
     };
 
     void eventLoop();
-    void reaperLoop(std::size_t shard);
+    void replyLoop(std::size_t shard);
     void registrarLoop();
 
     /** Parse and dispatch every complete frame in `conn`'s buffer. */
@@ -275,13 +308,27 @@ class NetServer
     void replyFrame(std::uint64_t conn, const wire::ResponseFrame &f)
         SPATIAL_EXCLUDES(connMutex_);
 
+    /** Encode a batch of shard replies into their connections' write
+     * buffers under one connMutex_ hold, then wake the loop once. */
+    void sendReplies(std::vector<ReadyReply> &batch)
+        SPATIAL_EXCLUDES(connMutex_);
+
+    /** Append `f` to `c`'s write buffer, or drop it when `c` is
+     * closing or its backlog crossed the slow-reader cap. */
+    static void appendReplyLocked(Connection &c,
+                                  const wire::ResponseFrame &f);
+
     /** Record that `conn` is owed one more async reply (event loop). */
     void asyncBegin(std::uint64_t conn) SPATIAL_EXCLUDES(connMutex_);
 
     /** Record that one owed async reply was delivered (any thread). */
     void asyncDone(std::uint64_t conn) SPATIAL_EXCLUDES(connMutex_);
 
-    /** Wake the poll loop (writable buffers or shutdown changed). */
+    /**
+     * Wake the poll loop (writable buffers or shutdown changed).
+     * Coalesced: only the first wake() after the loop last drained the
+     * pipe writes a byte.  Async-signal-safe.
+     */
     void wake();
 
     /** The per-shard stats matrix a Stats request returns. */
@@ -317,6 +364,9 @@ class NetServer
     std::atomic<std::size_t> accepted_{0};
     std::atomic<std::size_t> badFrames_{0};
 
+    /** A wake byte is in the pipe; cleared by the event loop only
+     * after it drained the pipe, so no wake() is lost in between. */
+    std::atomic<bool> wakeArmed_{false};
     std::atomic<bool> shutdownRequested_{false};
     std::atomic<bool> rejecting_{false}; //!< answer new work ShuttingDown
     std::atomic<bool> loopExit_{false};  //!< event loop may drain+exit

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "matrix/bits.h"
@@ -191,6 +192,15 @@ struct Response
         return std::chrono::duration<double>(doneAt - submitAt).count();
     }
 };
+
+/**
+ * Receives a request's Response exactly once, on the thread that
+ * finished it: a Server worker after scatter, or the queue-age
+ * watchdog when it sheds.  It runs with no Server lock held, but on
+ * the execution path, so it should hand the Response off and return
+ * rather than do the caller's work.
+ */
+using Completion = std::function<void(Response)>;
 
 } // namespace spatial::serve
 

@@ -92,10 +92,21 @@ Server::registerDesign(const IntMatrix &weights,
 std::future<Response>
 Server::submit(DesignId id, Request request)
 {
+    auto promise = std::make_shared<std::promise<Response>>();
+    auto future = promise->get_future();
+    submit(id, std::move(request), [promise](Response response) {
+        promise->set_value(std::move(response));
+    });
+    return future;
+}
+
+void
+Server::submit(DesignId id, Request request, Completion done)
+{
     PendingRequest pending;
     pending.request = std::move(request);
+    pending.done = std::move(done);
     pending.submitAt = Clock::now();
-    auto future = pending.promise.get_future();
 
     MutexLock lock(mutex_);
     if (id >= designs_.size())
@@ -166,7 +177,6 @@ Server::submit(DesignId id, Request request)
         if (entry.batcher.pendingRequests() == 1)
             timerCv_.notify_one();
     }
-    return future;
 }
 
 void
@@ -280,7 +290,7 @@ Server::fulfillShed(std::vector<Group> shed)
                 static_cast<std::uint32_t>(group.lanes);
             resp.flushReason = group.reason;
             resp.shed = true;
-            p.promise.set_value(std::move(resp));
+            p.done(std::move(resp));
         }
 }
 
@@ -409,8 +419,8 @@ Server::executeGroup(const core::TiledDesign &design, Group group)
     const IntMatrix out =
         design.multiplyBatchWide(batch, sim, &engine_stats);
 
-    // Book the group's counters before fulfilling any promise: a
-    // client that synchronizes on its future must observe them.
+    // Book the group's counters before calling any completion: a
+    // client that synchronizes on its response must observe them.
     {
         MutexLock lock(mutex_);
         ++stats_.groups;
@@ -456,7 +466,7 @@ Server::executeGroup(const core::TiledDesign &design, Group group)
                 resp.output.at(0, c) = out.at(lane, c);
             ++lane;
         }
-        p.promise.set_value(std::move(resp));
+        p.done(std::move(resp));
     }
 }
 
@@ -502,7 +512,7 @@ Server::executeSequence(const core::TiledDesign &design, Group group)
     resp.segmentsExecuted = seq_stats.segmentsExecuted;
     resp.segmentsSkipped = seq_stats.segmentsSkipped;
     resp.output = std::move(trajectory);
-    p.promise.set_value(std::move(resp));
+    p.done(std::move(resp));
 }
 
 void

@@ -7,15 +7,16 @@
  *
  *  1. registerDesign() compiles (or LRU-fetches) the model through the
  *     DesignStore and creates its Batcher;
- *  2. submit() queues a Request on the design's Batcher and returns a
- *     future; the batcher cuts groups on max_batch lanes, max_delay
+ *  2. submit() queues a Request on the design's Batcher with a
+ *     Completion (or returns a future, a thin wrapper over the same
+ *     path); the batcher cuts groups on max_batch lanes, max_delay
  *     deadlines (a timer thread watches the earliest deadline), or
  *     drain;
  *  3. flushed groups enter per-design ready queues; a persistent
  *     worker pool pops them round-robin across designs (one hot model
  *     cannot starve the rest), pads each group to the 64-lane engine
  *     boundary, runs it through core::runBatchWide, and scatters the
- *     decoded rows back to the member futures.  EsnSequence requests
+ *     decoded rows to the members' completions.  EsnSequence requests
  *     are inherently sequential and run on a per-job core::TapeGemv
  *     instead, scheduled through the same fair queues.
  *
@@ -88,7 +89,7 @@ struct ServeOptions
 
     /**
      * Queue-age watchdog: a ready group whose oldest request has been
-     * queued longer than this is shed — its futures resolve
+     * queued longer than this is shed — its requests complete
      * immediately with Response::shed set (the wire front end maps
      * that to Status::Busy) instead of waiting behind a stalled
      * worker.  0 disables the watchdog (no thread is started).
@@ -144,7 +145,7 @@ struct ServerStats
  *
  * Thread-safe: submit() may be called from any number of client
  * threads.  The destructor drains outstanding work before joining the
- * pool, so every returned future is fulfilled.
+ * pool, so every completion is called (and every future fulfilled).
  */
 class Server
 {
@@ -155,7 +156,7 @@ class Server
     /** Drain outstanding work and join the pool. */
     ~Server();
 
-    /** Non-copyable: owns worker threads and pending promises. */
+    /** Non-copyable: owns worker threads and pending completions. */
     Server(const Server &) = delete;
     /** Non-assignable (same reason). */
     Server &operator=(const Server &) = delete;
@@ -174,9 +175,14 @@ class Server
 
     /**
      * Queue one request against a registered design.  Shape errors are
-     * fatal (the caller holds the design's dimensions).  The future is
-     * fulfilled when the request's group has executed.
+     * fatal (the caller holds the design's dimensions).  `done` is
+     * called exactly once, when the request's group has executed (or
+     * the watchdog shed it) — in completion order, not submission
+     * order.
      */
+    void submit(DesignId id, Request request, Completion done);
+
+    /** As above, with the Response delivered through a future. */
     std::future<Response> submit(DesignId id, Request request);
 
     /** Flush every open group and wait until all work has executed. */
@@ -247,7 +253,7 @@ class Server
     /** Flush every batcher (Drain reason) and enqueue the groups. */
     void flushAllLocked() SPATIAL_REQUIRES(mutex_);
 
-    /** Resolve every request in `shed` with Response::shed set. */
+    /** Complete every request in `shed` with Response::shed set. */
     static void fulfillShed(std::vector<Group> shed);
 
     /** Pop the next ready group round-robin; nullopt when idle. */
@@ -257,7 +263,7 @@ class Server
     void pushGroupsLocked(std::vector<Group> groups)
         SPATIAL_REQUIRES(mutex_);
 
-    /** Execute one group outside the lock and fulfill its futures. */
+    /** Execute one group outside the lock and complete its members. */
     void executeGroup(const core::TiledDesign &design, Group group)
         SPATIAL_EXCLUDES(mutex_);
 

@@ -378,6 +378,68 @@ TEST(NetServe, RemoteMatchesInProcessBitForBit)
 }
 
 // ---------------------------------------------------------------------
+// Reply ordering
+// ---------------------------------------------------------------------
+
+TEST(NetServe, CompletedGroupIsNotHeldBehindAnotherDesignsOpenBatch)
+{
+    // One shard, so both designs share its reply path.  B's lone
+    // request opens a batch that only its 2 s deadline will cut; A's
+    // four requests fill a group at once.  A's replies must not wait
+    // for B's deadline just because B was submitted first.
+    const std::size_t dim = 24;
+    const IntMatrix weightsA = testWeights(dim, 31);
+    const IntMatrix weightsB = testWeights(dim, 32);
+    const core::CompileOptions compile = testCompileOptions();
+    NetServerOptions net = quickServer();
+    net.serve.maxBatch = 4;
+    net.serve.maxDelay = std::chrono::seconds(2);
+    NetServer server(net);
+    NetClient client("127.0.0.1", server.port());
+    std::uint32_t idA = 0, idB = 0;
+    ASSERT_EQ(client.registerDesign(weightsA, compile, &idA),
+              wire::Status::Ok);
+    ASSERT_EQ(client.registerDesign(weightsB, compile, &idB),
+              wire::Status::Ok);
+
+    Server local(quickServer().serve);
+    const DesignId localA = local.registerDesign(weightsA, compile);
+    const DesignId localB = local.registerDesign(weightsB, compile);
+
+    Rng rng(33);
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<std::int64_t> inputB = makeSignedVector(dim, 8, rng);
+    auto futureB = client.submit(idB, Request::gemv(inputB));
+    std::vector<std::vector<std::int64_t>> inputsA;
+    std::vector<std::future<RemoteResult>> futuresA;
+    for (int i = 0; i < 4; ++i) {
+        inputsA.push_back(makeSignedVector(dim, 8, rng));
+        futuresA.push_back(client.submit(idA, Request::gemv(inputsA[i])));
+    }
+
+    for (int i = 0; i < 4; ++i) {
+        ASSERT_EQ(futuresA[i].wait_until(start +
+                                         std::chrono::milliseconds(500)),
+                  std::future_status::ready)
+            << "A's reply " << i << " waited behind B's open batch";
+        const RemoteResult a = futuresA[i].get();
+        ASSERT_EQ(a.status, wire::Status::Ok);
+        EXPECT_TRUE(a.output ==
+                    local.submit(localA, Request::gemv(inputsA[i]))
+                        .get()
+                        .output)
+            << i;
+    }
+    EXPECT_NE(futureB.wait_for(std::chrono::milliseconds(0)),
+              std::future_status::ready);
+
+    const RemoteResult b = futureB.get();
+    ASSERT_EQ(b.status, wire::Status::Ok);
+    EXPECT_TRUE(b.output ==
+                local.submit(localB, Request::gemv(inputB)).get().output);
+}
+
+// ---------------------------------------------------------------------
 // Backpressure
 // ---------------------------------------------------------------------
 
@@ -694,9 +756,18 @@ TEST(NetServe, GracefulDrainCompletesInFlightWork)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     server.shutdown();
 
-    // Every admitted request completed with a real answer.
+    // Every admitted request completed with a real answer, and was
+    // answered exactly once.
     for (auto &future : futures)
         EXPECT_EQ(future.get().status, wire::Status::Ok);
+    const NetServerStats stats = server.stats();
+    std::size_t submitted = 0;
+    for (const ShardStats &shard : stats.shards) {
+        EXPECT_EQ(shard.answered, shard.submitted);
+        EXPECT_EQ(shard.inFlight, 0u);
+        submitted += shard.submitted;
+    }
+    EXPECT_EQ(submitted, futures.size());
 
     // The socket is gone; later work fails client-side, not by hang.
     auto after = client.submit(
@@ -949,10 +1020,13 @@ TEST(NetServeChaos, DrainTimeoutBoundsShutdownUnderStalledWorkers)
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - start);
     // Unbounded drain would sit through ~3 rounds of 1.5s stalls;
-    // the deadline must cut that to the 200ms budget plus the
-    // reaper's 50ms wait slices and teardown overhead.
+    // the deadline must cut that to the 200ms budget plus teardown
+    // overhead.
     EXPECT_LT(elapsed.count(), 1200)
         << "drain deadline did not bound shutdown";
+    NetServerStats stats = server.stats();
+    EXPECT_EQ(stats.shards[0].answered, stats.shards[0].submitted);
+    EXPECT_EQ(stats.shards[0].inFlight, 0u);
 
     // Every future resolves: completed work Ok, abandoned in-flight
     // work ShuttingDown, shed backlog Busy — never a hang.
@@ -966,6 +1040,23 @@ TEST(NetServeChaos, DrainTimeoutBoundsShutdownUnderStalledWorkers)
                     status == wire::Status::Disconnected)
             << wire::statusName(status);
     }
+
+    // The stalled workers finish the abandoned groups after the drain;
+    // those late completions find their requests already answered and
+    // must not answer them a second time.
+    fault::FaultPlan::instance().clear();
+    const auto late_deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.stats().shards[0].server.groups <
+               stats.shards[0].submitted &&
+           std::chrono::steady_clock::now() < late_deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    // Groups are booked just before their completions run.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    stats = server.stats();
+    EXPECT_EQ(stats.shards[0].server.groups, stats.shards[0].submitted);
+    EXPECT_EQ(stats.shards[0].answered, stats.shards[0].submitted);
+    EXPECT_EQ(stats.shards[0].inFlight, 0u);
 }
 
 // ---------------------------------------------------------------------

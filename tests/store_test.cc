@@ -349,7 +349,7 @@ TEST(TieredStore, DemotesOnEvictionAndPromotesOnMiss)
     EXPECT_EQ(promoted->multiply(x), first->multiply(x));
 
     // Promoting a back evicted b, which demoted in turn: two spills.
-    const auto cold = store.coldStats();
+    const auto cold = store.stats().cold;
     EXPECT_EQ(cold.writes, 2u);
     EXPECT_EQ(cold.loads, 1u);
 }
@@ -404,7 +404,7 @@ TEST(TieredStore, NoSpillDirEvictsOutright)
     EXPECT_EQ(stats.evictions, 1u);
     EXPECT_EQ(stats.demotions, 0u);
     EXPECT_EQ(stats.promotions, 0u);
-    const auto cold = store.coldStats();
+    const auto cold = store.stats().cold;
     EXPECT_EQ(cold.writes, 0u);
     EXPECT_EQ(cold.loads, 0u);
 }
@@ -610,7 +610,7 @@ TEST(WriteOnceColdTier, RedemotingAnUnchangedDesignTouchesNoFile)
     store.get(a, compile); // promotes a, demotes b: written
     store.get(b, compile); // promotes b, demotes a: already on disk
 
-    const auto cold = store.coldStats();
+    const auto cold = store.stats().cold;
     EXPECT_EQ(cold.writes, 2u);
     EXPECT_EQ(cold.syncs, 2u);
     EXPECT_EQ(cold.spillsSkipped, 1u);
@@ -741,7 +741,7 @@ TEST(WriteOnceColdTier, CapacityOneChurnWritesEachDesignOnce)
     }
 
     const auto stats = store.stats();
-    const auto cold = store.coldStats();
+    const auto cold = store.stats().cold;
     EXPECT_EQ(cold.writes, 2u);
     EXPECT_EQ(cold.loads, stats.promotions);
     EXPECT_EQ(stats.promotions, 2 * rounds - 2);
@@ -833,6 +833,10 @@ TEST(TieredServing, LargeDesignSpillsAndServesFromDisk)
     {
         const auto stats = server.stats();
         ASSERT_GE(stats.store.demotions, 1u);
+        // The cold tier's own counters ride along in ServerStats.
+        EXPECT_EQ(stats.store.cold.writes + stats.store.cold.spillsSkipped,
+                  stats.store.demotions);
+        EXPECT_EQ(stats.store.cold.syncs, stats.store.cold.writes);
     }
 
     // Serving the big design now rematerializes it from the cold
@@ -846,6 +850,7 @@ TEST(TieredServing, LargeDesignSpillsAndServesFromDisk)
         const auto stats = server.stats();
         EXPECT_GE(stats.store.promotions, 1u);
         EXPECT_EQ(stats.store.coldFallbacks, 0u);
+        EXPECT_EQ(stats.store.cold.loads, stats.store.promotions);
     }
     const auto expected = referenceMultiply(weights, x);
     ASSERT_EQ(gemvResp.output.cols(), dim);
